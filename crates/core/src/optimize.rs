@@ -10,7 +10,7 @@
 //! lengths, while producing byte-identical results to the full re-simulation
 //! oracle ([`minimise_full_resim`]).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use march_test::{MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::FaultList;
@@ -35,10 +35,11 @@ use crate::GeneratorConfig;
 ///
 /// Re-verification is *suffix-only*: each target carries per-element
 /// checkpoints of its lane state, so a trial restores the checkpoint before
-/// the edited element and re-simulates just the suffix (with early-exit per
-/// target as before). The minimised test is identical for every backend,
-/// batch size and thread count — and byte-identical to the full
-/// re-simulation of earlier releases, see [`minimise_full_resim`].
+/// the edited element and re-simulates just the suffix, probing the
+/// most-recently-failed target first and stopping at the first target that
+/// loses coverage. The minimised test is identical for every backend, batch
+/// size and thread count — and byte-identical to the full re-simulation of
+/// earlier releases, see [`minimise_full_resim`].
 ///
 /// Returns the minimised test and the number of operations removed.
 ///
@@ -55,10 +56,13 @@ pub fn minimise(
 }
 
 /// The session form of [`minimise`]: target lanes come from the session's
-/// memoised artifact cache and every removal trial shards its `(target ×
-/// suffix)` re-verifications over the session's resident worker pool. The
-/// minimised test is byte-identical to [`minimise`] for every backend, batch
-/// size and thread count.
+/// memoised artifact cache, and the completeness precheck fans the targets
+/// out over the session's resident worker pool (a complete test has to visit
+/// every target anyway). The removal trials themselves run on the caller
+/// thread: most are rejected by the first target probed, so sharding them
+/// would pay a pool round-trip for one suffix run. The minimised test is
+/// byte-identical to [`minimise`] for every backend, batch size and thread
+/// count.
 #[must_use]
 pub fn minimise_with(
     session: &Session,
@@ -94,35 +98,26 @@ pub fn minimise_with(
     }
 
     let policy = session.policy();
-    let states: Arc<Vec<Mutex<TargetState>>> = Arc::new(
-        targets
-            .iter()
-            .map(|(target, lanes)| {
-                Mutex::new(TargetState::new(
-                    target.clone(),
-                    lanes.clone(),
-                    config.memory_cells,
-                    policy.backend,
-                    policy.lane_width,
-                ))
-            })
-            .collect(),
-    );
-    // The sharding unit: one index per fault target. Each worker locks its
-    // target's state (disjoint by construction), restores the checkpoint and
-    // runs the trial suffix.
-    let indices: Arc<Vec<usize>> = Arc::new((0..states.len()).collect());
+    let mut states: Vec<TargetState> = targets
+        .iter()
+        .map(|(target, lanes)| {
+            TargetState::new(
+                target.clone(),
+                lanes.clone(),
+                config.memory_cells,
+                policy.backend,
+                policy.lane_width,
+            )
+        })
+        .collect();
 
     let mut elements: Vec<MarchElement> = test.elements().to_vec();
-    // The immutable prefix snapshot the workers advance checkpoints with;
-    // re-published whenever a removal is accepted.
-    let mut shared: Arc<Vec<MarchElement>> = Arc::new(elements.clone());
 
-    // The serial fast path probes targets in most-recently-failed-first
-    // order: most trials are rejected, and consecutive rejections tend to
-    // fail on the same few targets, so the early exit usually costs one
-    // suffix run. The verdict ("do ALL targets stay covered?") is
-    // order-independent, so the minimised test is unaffected.
+    // Targets are probed in most-recently-failed-first order: most trials
+    // are rejected, and consecutive rejections tend to fail on the same few
+    // targets, so the early exit usually costs one suffix run. The verdict
+    // ("do ALL targets stay covered?") is order-independent, so the
+    // minimised test is unaffected.
     let mut probe_order: Vec<usize> = (0..states.len()).collect();
 
     let mut removed = 0usize;
@@ -154,12 +149,9 @@ pub fn minimise_with(
                     Vec::with_capacity(elements.len() - element_index);
                 suffix.extend(edited.iter().cloned());
                 suffix.extend_from_slice(&elements[element_index + 1..]);
-                let suffix = Arc::new(suffix);
                 let covered = trial_all_targets(
-                    session,
-                    &states,
-                    &indices,
-                    &shared,
+                    &mut states,
+                    &elements,
                     &mut probe_order,
                     element_index,
                     &suffix,
@@ -177,13 +169,9 @@ pub fn minimise_with(
                     // checkpoint trail: targets that recorded it commit their
                     // staged snapshots, the rest rewind to the last valid
                     // checkpoint and re-advance lazily.
-                    for state in states.iter() {
-                        state
-                            .lock()
-                            .expect("target state lock")
-                            .commit_or_invalidate(element_index);
+                    for state in &mut states {
+                        state.commit_or_invalidate(element_index);
                     }
-                    shared = Arc::new(elements.clone());
                     if element_index >= elements.len() {
                         break;
                     }
@@ -199,36 +187,20 @@ pub fn minimise_with(
     (rebuild(test.name(), &elements), removed)
 }
 
-/// Evaluates one removal trial over every target: parallel sessions shard the
-/// targets over the resident pool; serial sessions probe targets in
-/// most-recently-failed-first order (`probe_order`) and early-exit at the
-/// first failing target, moving it to the front. The front probe runs
-/// fail-fast without recording; the rest record their suffix simulation as
-/// staged checkpoints, so an accepted trial's work is committed instead of
-/// re-simulated. The all-targets verdict is order-independent, so the result
-/// is identical either way.
-#[allow(clippy::too_many_arguments)]
+/// Evaluates one removal trial over every target on the caller thread,
+/// probing targets in most-recently-failed-first order (`probe_order`) and
+/// early-exiting at the first failing target, which moves to the front. The
+/// front probe runs fail-fast without recording; the rest record their suffix
+/// simulation as staged checkpoints, so an accepted trial's work is committed
+/// instead of re-simulated. The all-targets verdict is order-independent, so
+/// the probe order never changes the minimised test.
 fn trial_all_targets(
-    session: &Session,
-    states: &Arc<Vec<Mutex<TargetState>>>,
-    indices: &Arc<Vec<usize>>,
-    elements: &Arc<Vec<MarchElement>>,
+    states: &mut [TargetState],
+    elements: &[MarchElement],
     probe_order: &mut [usize],
     at: usize,
-    suffix: &Arc<Vec<MarchElement>>,
+    suffix: &[MarchElement],
 ) -> bool {
-    if session.is_parallel() {
-        let states = Arc::clone(states);
-        let elements = Arc::clone(elements);
-        let suffix = Arc::clone(suffix);
-        return session
-            .execute(Arc::clone(indices), move |&index| {
-                let mut state = states[index].lock().expect("target state lock");
-                state.trial_covers(&elements, at, &suffix, Record::Staged)
-            })
-            .into_iter()
-            .all(|covered| covered);
-    }
     for position in 0..probe_order.len() {
         let index = probe_order[position];
         let record = if position == 0 {
@@ -236,11 +208,7 @@ fn trial_all_targets(
         } else {
             Record::Staged
         };
-        let covered = {
-            let mut state = states[index].lock().expect("target state lock");
-            state.trial_covers(elements, at, suffix, record)
-        };
-        if !covered {
+        if !states[index].trial_covers(elements, at, suffix, record) {
             probe_order[..=position].rotate_right(1);
             return false;
         }
@@ -612,6 +580,7 @@ pub fn minimise_with_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MarchGenerator;
     use march_test::catalog;
 
     #[test]
@@ -660,16 +629,35 @@ mod tests {
 
     #[test]
     fn thread_counts_minimise_identically() {
+        // Padded ABL1 against list 2, and Table 1's GRABL step: list 1's
+        // greedy (ABL-style) test shortened by redundancy removal. Every
+        // thread count must match the full re-simulation oracle.
         let padded = MarchTest::parse(
             "padded ABL1",
             "⇕(w0); ⇕(w0,r0,r0,w1); ⇕(w1,r1,r1,w0); ⇕(r0,r0)",
         )
         .unwrap();
-        let list = FaultList::list_2();
-        let serial = minimise(&padded, &list, &GeneratorConfig::default());
-        let sharded = minimise(&padded, &list, &GeneratorConfig::default().with_threads(0));
-        assert_eq!(serial.0.notation(), sharded.0.notation());
-        assert_eq!(serial.1, sharded.1);
+        let greedy = MarchGenerator::with_config(
+            FaultList::list_1(),
+            GeneratorConfig::without_redundancy_removal(),
+        )
+        .generate()
+        .into_test();
+        let config = GeneratorConfig::default();
+        for (test, list) in [(padded, FaultList::list_2()), (greedy, FaultList::list_1())] {
+            let oracle = minimise_full_resim(&config.session(), &test, &list, &config);
+            assert!(oracle.1 > 0, "{}: nothing to remove", test.name());
+            for threads in [1usize, 2, 4, 0] {
+                let minimised = minimise(&test, &list, &config.clone().with_threads(threads));
+                assert_eq!(
+                    minimised.0.notation(),
+                    oracle.0.notation(),
+                    "{} threads {threads}",
+                    test.name()
+                );
+                assert_eq!(minimised.1, oracle.1, "{} threads {threads}", test.name());
+            }
+        }
     }
 
     #[test]

@@ -289,6 +289,20 @@ mod tests {
     }
 
     #[test]
+    fn parallel_minimise_runs_one_pool_job() {
+        // Only the completeness precheck fans out over the pool; the removal
+        // trials run fail-fast on the caller thread.
+        let list = FaultList::list_2();
+        let serial = Session::new(ExecPolicy::default()).minimise(&catalog::march_sl(), &list);
+        let session = Session::new(ExecPolicy::default().with_threads(2));
+        let before = session.jobs_executed();
+        let parallel = session.minimise(&catalog::march_sl(), &list);
+        assert_eq!(session.jobs_executed() - before, 1);
+        assert_eq!(parallel.test().notation(), serial.test().notation());
+        assert_eq!(parallel.removed_operations(), serial.removed_operations());
+    }
+
+    #[test]
     fn session_verify_matches_measure_coverage() {
         let session = Session::default();
         let list = FaultList::list_2();

@@ -338,8 +338,10 @@ impl Session {
 
     /// Fans `map` out over the session's resident workers, returning results
     /// in item order (serially on the caller when the session is not
-    /// parallel). This is the deterministic-merge primitive the downstream
-    /// crates (generator, minimiser) build their sharding on.
+    /// parallel). This is the deterministic-merge primitive the generator's
+    /// candidate scoring and the minimiser's completeness precheck shard
+    /// over; on a parallel session each call counts as one job in
+    /// [`Session::jobs_executed`].
     pub fn execute<T, R, F>(&self, items: Arc<Vec<T>>, map: F) -> Vec<R>
     where
         T: Send + Sync + 'static,
