@@ -44,6 +44,11 @@ impl fmt::Display for SyndromeEntry {
 
 /// The failure syndrome of one march-test run: the set of failing reads.
 ///
+/// Stored as one boxed slice, sorted by (element, cell, operation, observed)
+/// and free of duplicates, so it behaves as a set (iteration order and
+/// equality are those of a `BTreeSet<SyndromeEntry>`) at one allocation per
+/// syndrome. A fault dictionary holds one syndrome per fault instance.
+///
 /// # Examples
 ///
 /// ```
@@ -60,7 +65,7 @@ impl fmt::Display for SyndromeEntry {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Syndrome {
-    entries: BTreeSet<SyndromeEntry>,
+    entries: Box<[SyndromeEntry]>,
 }
 
 impl Syndrome {
@@ -73,9 +78,8 @@ impl Syndrome {
     /// Builds a syndrome from the failures of a march run.
     #[must_use]
     pub fn from_run(run: &MarchRun) -> Syndrome {
-        Syndrome {
-            entries: run
-                .failures()
+        Syndrome::from_entries(
+            run.failures()
                 .iter()
                 .map(|failure| SyndromeEntry {
                     element: failure.element,
@@ -84,7 +88,7 @@ impl Syndrome {
                     observed: failure.observed,
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Runs `test` on the given simulator and collects the resulting syndrome.
@@ -93,10 +97,15 @@ impl Syndrome {
         Syndrome::from_run(&run_march(test, simulator))
     }
 
-    /// Rebuilds a syndrome from an already-validated entry set — the snapshot
-    /// loader's constructor.
-    pub(crate) fn from_entries(entries: BTreeSet<SyndromeEntry>) -> Syndrome {
-        Syndrome { entries }
+    /// Builds a syndrome from failing reads in any order, duplicates
+    /// allowed: they are sorted and deduplicated, exactly as collecting them
+    /// into a set would.
+    pub(crate) fn from_entries(mut entries: Vec<SyndromeEntry>) -> Syndrome {
+        entries.sort_unstable();
+        entries.dedup();
+        Syndrome {
+            entries: entries.into_boxed_slice(),
+        }
     }
 
     /// The failing reads, ordered by (element, cell, operation).

@@ -8,7 +8,6 @@
 //! how many fault instances share the same syndrome and are therefore
 //! indistinguishable by that test.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use march_test::MarchTest;
@@ -38,12 +37,16 @@ impl fmt::Display for DictionaryEntry {
     }
 }
 
-/// The canonical syndrome key of the dictionary index: one
-/// `(element, operation, cell, observed)` tuple per failing read.
-type SyndromeKey = Vec<(usize, usize, usize, u8)>;
-
 /// A pre-computed fault dictionary for one march test, one fault list and one data
 /// background.
+///
+/// Lookups go through an index that allocates nothing per entry: one
+/// `(syndrome hash, entry position)` pair per entry, sorted, so the entries
+/// sharing a 64-bit syndrome hash form one run in entry order. The hash only
+/// narrows the search: [`lookup`](FaultDictionary::lookup),
+/// [`distinct_syndromes`](FaultDictionary::distinct_syndromes) and
+/// [`resolution`](FaultDictionary::resolution) compare full syndromes within
+/// a run, so a hash collision can never merge two syndromes.
 ///
 /// # Examples
 ///
@@ -68,7 +71,8 @@ type SyndromeKey = Vec<(usize, usize, usize, u8)>;
 pub struct FaultDictionary {
     test_name: String,
     entries: Vec<DictionaryEntry>,
-    index: BTreeMap<SyndromeKey, Vec<usize>>,
+    /// `(syndrome hash, entry position)` per entry, sorted.
+    index: Vec<(u64, usize)>,
 }
 
 impl FaultDictionary {
@@ -156,33 +160,20 @@ impl FaultDictionary {
             }
         }
 
-        let mut index: BTreeMap<SyndromeKey, Vec<usize>> = BTreeMap::new();
-        for (position, entry) in entries.iter().enumerate() {
-            index
-                .entry(Self::key(&entry.syndrome))
-                .or_default()
-                .push(position);
-        }
-
-        FaultDictionary {
-            test_name: test.name().to_string(),
-            entries,
-            index,
-        }
+        FaultDictionary::from_parts(test.name().to_string(), entries)
     }
 
-    /// Rebuilds a dictionary from decoded entries — the snapshot loader's
-    /// constructor. The index is re-derived with the same keying as
-    /// [`FaultDictionary::build`], so a round-tripped dictionary answers
-    /// every lookup identically to a freshly built one.
+    /// Indexes `entries` into a dictionary — the one constructor behind
+    /// [`FaultDictionary::build`] and the snapshot loader, so a round-tripped
+    /// dictionary answers every lookup identically to a freshly built one.
     pub(crate) fn from_parts(test_name: String, entries: Vec<DictionaryEntry>) -> FaultDictionary {
-        let mut index: BTreeMap<SyndromeKey, Vec<usize>> = BTreeMap::new();
-        for (position, entry) in entries.iter().enumerate() {
-            index
-                .entry(Self::key(&entry.syndrome))
-                .or_default()
-                .push(position);
-        }
+        let mut index: Vec<(u64, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(position, entry)| (syndrome_hash(&entry.syndrome), position))
+            .collect();
+        // Stable, on the hash alone: positions stay ascending within a run.
+        index.sort_by_key(|&(hash, _)| hash);
         FaultDictionary {
             test_name,
             entries,
@@ -190,18 +181,27 @@ impl FaultDictionary {
         }
     }
 
-    fn key(syndrome: &Syndrome) -> Vec<(usize, usize, usize, u8)> {
-        syndrome
-            .entries()
-            .map(|entry| {
-                (
-                    entry.element,
-                    entry.cell,
-                    entry.operation,
-                    entry.observed.as_u8(),
-                )
-            })
-            .collect()
+    /// Every distinct syndrome with the number of entries that produce it.
+    /// A hash run whose syndromes are not all equal (a hash collision) is
+    /// sorted by syndrome and split on full equality, so the count is exact
+    /// and stays O(n log n) even for crafted collisions.
+    fn syndrome_counts(&self) -> Vec<(&Syndrome, usize)> {
+        let mut counts = Vec::new();
+        for run in self.index.chunk_by(|a, b| a.0 == b.0) {
+            let mut syndromes: Vec<&Syndrome> = run
+                .iter()
+                .map(|&(_, position)| &self.entries[position].syndrome)
+                .collect();
+            if syndromes.iter().any(|syndrome| *syndrome != syndromes[0]) {
+                syndromes.sort_unstable_by(|a, b| a.entries().cmp(b.entries()));
+            }
+            counts.extend(
+                syndromes
+                    .chunk_by(|a, b| a == b)
+                    .map(|group| (group[0], group.len())),
+            );
+        }
+        counts
     }
 
     /// The march test the dictionary was built for.
@@ -231,15 +231,16 @@ impl FaultDictionary {
     /// Looks up every fault instance whose syndrome equals `syndrome`.
     #[must_use]
     pub fn lookup(&self, syndrome: &Syndrome) -> Vec<&DictionaryEntry> {
-        self.index
-            .get(&Self::key(syndrome))
-            .map(|positions| {
-                positions
-                    .iter()
-                    .map(|&position| &self.entries[position])
-                    .collect()
-            })
-            .unwrap_or_default()
+        let hash = syndrome_hash(syndrome);
+        let start = self
+            .index
+            .partition_point(|&(entry_hash, _)| entry_hash < hash);
+        self.index[start..]
+            .iter()
+            .take_while(|&&(entry_hash, _)| entry_hash == hash)
+            .map(|&(_, position)| &self.entries[position])
+            .filter(|entry| entry.syndrome == *syndrome)
+            .collect()
     }
 
     /// The fault instances the march test does not detect at all (empty syndrome).
@@ -252,7 +253,10 @@ impl FaultDictionary {
     /// Number of distinct non-empty syndromes.
     #[must_use]
     pub fn distinct_syndromes(&self) -> usize {
-        self.index.keys().filter(|key| !key.is_empty()).count()
+        self.syndrome_counts()
+            .iter()
+            .filter(|(syndrome, _)| !syndrome.is_empty())
+            .count()
     }
 
     /// Diagnostic resolution: the fraction of *detected* fault instances whose
@@ -260,22 +264,36 @@ impl FaultDictionary {
     /// ideal diagnostic test, `0.0` when every syndrome is ambiguous.
     #[must_use]
     pub fn resolution(&self) -> f64 {
-        let detected: Vec<&Vec<usize>> = self
-            .index
-            .iter()
-            .filter(|(key, _)| !key.is_empty())
-            .map(|(_, positions)| positions)
-            .collect();
-        let total: usize = detected.iter().map(|positions| positions.len()).sum();
+        let (mut total, mut unique) = (0usize, 0usize);
+        for (syndrome, count) in self.syndrome_counts() {
+            if !syndrome.is_empty() {
+                total += count;
+                unique += usize::from(count == 1);
+            }
+        }
         if total == 0 {
             return 0.0;
         }
-        let unique = detected
-            .iter()
-            .filter(|positions| positions.len() == 1)
-            .count();
         unique as f64 / total as f64
     }
+}
+
+/// A 64-bit hash of a syndrome's entries. Each entry's fields are spread by
+/// independent multiplies, so the chain carries one dependent multiply per
+/// entry. Only the dictionary index uses it, within one process: it needs to
+/// spread well, not to be stable across builds.
+fn syndrome_hash(syndrome: &Syndrome) -> u64 {
+    syndrome
+        .entries()
+        .fold(syndrome.len() as u64, |hash, entry| {
+            let word = (entry.element as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (entry.cell as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                ^ (entry.operation as u64).wrapping_mul(0x1656_67B1_9E37_79F9)
+                ^ u64::from(entry.observed.as_u8());
+            (hash ^ word)
+                .wrapping_mul(0xFF51_AFD7_ED55_8CCD)
+                .rotate_left(29)
+        })
 }
 
 impl fmt::Display for FaultDictionary {
@@ -358,6 +376,28 @@ mod tests {
         assert!(weak.undetected().count() > 0);
         assert_eq!(strong.undetected().count(), 0);
         assert!(weak.distinct_syndromes() <= strong.distinct_syndromes());
+    }
+
+    #[test]
+    fn hash_collisions_never_merge_syndromes() {
+        let list = FaultList::list_2();
+        let dictionary = FaultDictionary::build(&catalog::march_ss(), &list, &small_config());
+        let probe = &dictionary.entries()[0].syndrome;
+        let mut collided = dictionary.clone();
+        // Every entry under the probe's hash: one run holding every syndrome.
+        for slot in &mut collided.index {
+            slot.0 = syndrome_hash(probe);
+        }
+        collided.index.sort_unstable();
+        assert!(dictionary.distinct_syndromes() > 1);
+        assert_eq!(
+            collided.distinct_syndromes(),
+            dictionary.distinct_syndromes()
+        );
+        assert_eq!(collided.resolution(), dictionary.resolution());
+        assert_eq!(collided.to_string(), dictionary.to_string());
+        assert_eq!(collided.lookup(probe), dictionary.lookup(probe));
+        assert!(collided.lookup(probe).len() < collided.len());
     }
 
     #[test]
